@@ -10,9 +10,11 @@
 //   * "cases" — fresh-execution throughput: every submit is a distinct
 //     spec (the shared seed varies per job), so nothing hits the cache
 //     and every job runs through the full path: frame decode -> queue ->
-//     SweepRunner batch -> executor -> result encode. Measured across
-//     server worker counts with a fixed pool of concurrent clients; the
-//     workers=1 row is the speedup baseline.
+//     worker -> executor -> pop-order commit -> result encode. Measured
+//     across server worker counts, each row driven by as many
+//     closed-loop clients as it has workers (a fixed client pool would
+//     cap the jobs in flight and measure client concurrency instead);
+//     the workers=1 row is the speedup baseline.
 //   * "sweep" — cache-hit serving rate: one spec is executed once, then
 //     hammered with identical submits from 1..C concurrent clients. Every
 //     request after the first is served inline from the content-addressed
@@ -114,9 +116,10 @@ struct SweepResult {
 }
 
 /// Splits `jobs` fresh submissions (distinct shared seeds) across
-/// `clients` connections against a server with `workers` executor
-/// threads; returns wall seconds for the whole batch.
-double run_fresh_batch(const CaseSpec& cs, int workers, int clients) {
+/// `workers` closed-loop client connections against a server with
+/// `workers` worker threads; returns wall seconds for the whole batch.
+double run_fresh_batch(const CaseSpec& cs, int workers) {
+  const int clients = workers;
   const std::string socket = bench_socket(cs.name.c_str(), workers);
   ExperimentServer server(server_options(socket, workers));
   server.start();
@@ -146,14 +149,13 @@ double run_fresh_batch(const CaseSpec& cs, int workers, int clients) {
   return seconds;
 }
 
-CaseResult run_case(const CaseSpec& cs, const std::vector<int>& workers,
-                    int clients) {
+CaseResult run_case(const CaseSpec& cs, const std::vector<int>& workers) {
   CaseResult result;
   result.spec = cs;
   for (const int w : workers) {
     WorkerResult wr;
     wr.units = w;
-    wr.seconds = run_fresh_batch(cs, w, clients);
+    wr.seconds = run_fresh_batch(cs, w);
     wr.rate = wr.seconds > 0.0 ? static_cast<double>(cs.jobs) / wr.seconds
                                : 0.0;
     result.results.push_back(wr);
@@ -305,7 +307,6 @@ int main(int argc, char** argv) {
                                          : std::vector<int>{1, 2, 4};
   const std::vector<int> clients = smoke ? std::vector<int>{1, 2}
                                          : std::vector<int>{1, 2, 4};
-  const int fresh_clients = 2;
 
   JobSpec census;
   census.topology = TopologyKind::Path;
@@ -320,11 +321,9 @@ int main(int argc, char** argv) {
   mst.topology_seed = 0xC0FFEE;
 
   std::vector<CaseResult> cases;
-  cases.push_back(run_case(
-      CaseSpec{"census_path", census, smoke ? 8 : 32}, workers,
-      fresh_clients));
-  cases.push_back(run_case(CaseSpec{"mst_gnm", mst, smoke ? 6 : 24},
-                           workers, fresh_clients));
+  cases.push_back(
+      run_case(CaseSpec{"census_path", census, smoke ? 8 : 32}, workers));
+  cases.push_back(run_case(CaseSpec{"mst_gnm", mst, smoke ? 6 : 24}, workers));
 
   const SweepResult sweep =
       run_cache_sweep(census, smoke ? 64 : 512, clients);

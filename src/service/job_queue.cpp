@@ -37,13 +37,11 @@ std::uint64_t JobQueue::submit(const JobSpec& spec, std::uint64_t key,
   return id;
 }
 
-std::vector<std::uint64_t> JobQueue::pop_batch(int max_jobs) {
-  QDC_EXPECT(max_jobs >= 1, "JobQueue: pop_batch needs max_jobs >= 1");
+std::optional<PoppedJob> JobQueue::pop() {
   std::unique_lock<std::mutex> lock(mutex_);
-  work_cv_.wait(lock, [&] { return closed_ || !fifo_.empty(); });
-  std::vector<std::uint64_t> batch;
-  const std::uint64_t now = now_us_locked();
-  while (!fifo_.empty() && static_cast<int>(batch.size()) < max_jobs) {
+  for (;;) {
+    work_cv_.wait(lock, [&] { return closed_ || !fifo_.empty(); });
+    if (fifo_.empty()) return std::nullopt;  // closed and drained
     const std::uint64_t id = fifo_.front();
     fifo_.pop_front();
     auto it = records_.find(id);
@@ -51,15 +49,14 @@ std::vector<std::uint64_t> JobQueue::pop_batch(int max_jobs) {
     JobRecord& rec = it->second;
     if (rec.state != JobState::Queued) continue;  // cancelled while queued
     if (rec.timeout_us != 0 && tick_ &&
-        now >= rec.submit_tick + rec.timeout_us) {
+        now_us_locked() >= rec.submit_tick + rec.timeout_us) {
       finish_locked(rec, JobState::Expired);
       continue;
     }
     rec.state = JobState::Running;
     ++running_;
-    batch.push_back(id);
+    return PoppedJob{id, next_seq_++, rec.spec, rec.key, rec.submit_tick};
   }
-  return batch;
 }
 
 std::optional<JobState> JobQueue::cancel(std::uint64_t id) {
@@ -69,7 +66,7 @@ std::optional<JobState> JobQueue::cancel(std::uint64_t id) {
   JobRecord& rec = it->second;
   if (rec.state == JobState::Queued) {
     finish_locked(rec, JobState::Cancelled);
-    // The id stays in fifo_; pop_batch skips non-Queued entries.
+    // The id stays in fifo_; pop skips non-Queued entries.
   }
   return rec.state;
 }

@@ -2,19 +2,23 @@
 //
 // The queue is the server's single admission point: submits either get a
 // job id (FIFO position) or are rejected with QueueFull — backpressure
-// is explicit and immediate, never a silent buffer. A dispatcher drains
-// the queue in batches (pop_batch blocks until work or close), executes
-// each batch on the sweep machinery, and reports terminal states back
-// through complete()/fail(). Connection handlers that chose to wait
-// block in wait_terminal(); every terminal transition broadcasts.
+// is explicit and immediate, never a silent buffer. Server workers pull
+// one job at a time (pop blocks until work or close), execute it, and
+// report terminal states back through complete()/fail(). Connection
+// handlers that chose to wait block in wait_terminal(); every terminal
+// transition broadcasts.
+//
+// Every pop carries a pop sequence number (0, 1, 2, ... assigned under
+// the queue mutex), so the order in which workers took jobs is a total
+// order the server can commit results in, whatever order they finish.
 //
 // Cancellation has exactly one semantics: a job can be cancelled while
-// Queued and never after — pop_batch atomically moves Queued jobs to
-// Running, so cancel() and dispatch can race without a job ever running
+// Queued and never after — pop atomically moves a Queued job to Running,
+// so cancel() and a worker's pop can race without a job ever running
 // half-cancelled. Timeouts are queue-wait deadlines measured in ticks of
 // the injected tick source (service/stats-free: the library never reads
 // a wall clock; the daemon injects one, tests inject counters): a job
-// whose deadline passed before its batch started is marked Expired and
+// whose deadline passed before a worker popped it is marked Expired and
 // skipped.
 //
 // Terminal records are retained for polling in a bounded completion ring
@@ -30,7 +34,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "service/job_spec.hpp"
 #include "service/result_cache.hpp"
@@ -58,6 +61,15 @@ struct JobRecord {
   ResultBytes result;            ///< set iff state == Done
 };
 
+/// One job handed to a worker by JobQueue::pop().
+struct PoppedJob {
+  std::uint64_t id = 0;
+  std::uint64_t seq = 0;  ///< pop sequence number: 0, 1, 2, ... in pop order
+  JobSpec spec;
+  std::uint64_t key = 0;  ///< cache_key(spec)
+  std::uint64_t submit_tick = 0;
+};
+
 struct QueueCounters {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -79,20 +91,18 @@ class JobQueue {
   std::uint64_t submit(const JobSpec& spec, std::uint64_t key,
                        std::uint64_t timeout_us);
 
-  /// Blocks until at least one job is Queued or the queue is closed.
-  /// Dequeues up to `max_jobs` ids in FIFO order and atomically moves
-  /// them Queued -> Running (jobs whose queue-wait deadline has passed
-  /// become Expired instead and are not returned). May return empty when
-  /// every dequeued entry had been cancelled or expired; an empty return
-  /// with closed() true means fully drained — dispatchers loop on
-  /// `batch.empty() && closed()`.
-  std::vector<std::uint64_t> pop_batch(int max_jobs);
+  /// Blocks until a job is Queued or the queue is closed and empty.
+  /// Dequeues the oldest Queued job and atomically moves it Queued ->
+  /// Running; cancelled entries are skipped, and jobs whose queue-wait
+  /// deadline has passed become Expired and are skipped too. nullopt
+  /// means closed and fully drained (or cancelled): the caller exits.
+  std::optional<PoppedJob> pop();
 
   /// Cancels `id` iff it is still Queued. Returns the resulting state,
   /// or nullopt for unknown ids.
   std::optional<JobState> cancel(std::uint64_t id);
 
-  /// Terminal transitions, called by the dispatcher.
+  /// Terminal transitions of a popped (Running) job.
   void complete(std::uint64_t id, ResultBytes result, bool cached,
                 std::uint64_t compute_us);
   void fail(std::uint64_t id, ErrorCode code, const std::string& message);
@@ -105,9 +115,9 @@ class JobQueue {
   /// its final record.
   std::optional<JobRecord> wait_terminal(std::uint64_t id);
 
-  /// Rejects future submits and wakes every pop_batch/wait_terminal.
-  /// Queued jobs stay queued: a draining dispatcher keeps popping until
-  /// pop_batch returns empty.
+  /// Rejects future submits and wakes every pop/wait_terminal. Queued
+  /// jobs stay queued: draining workers keep popping until pop returns
+  /// nullopt.
   void close();
 
   /// Cancels every still-Queued job (the non-drain shutdown path, so no
@@ -142,6 +152,7 @@ class JobQueue {
   std::condition_variable terminal_cv_;  // any terminal transition
   bool closed_ = false;
   std::uint64_t next_id_ = 1;
+  std::uint64_t next_seq_ = 0;
   std::deque<std::uint64_t> fifo_;  // Queued ids in admission order
   std::unordered_map<std::uint64_t, JobRecord> records_;
   std::deque<std::uint64_t> terminal_ring_;  // terminal ids, oldest first

@@ -7,6 +7,7 @@
 #include "service/executor.hpp"
 #include "service/job_spec.hpp"
 #include "util/expect.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qdc::service {
 namespace {
@@ -14,13 +15,19 @@ namespace {
 /// SubmitRequest flag bits (docs/SERVICE.md).
 constexpr std::uint8_t kSubmitFlagWait = 0x01;
 
+int resolve_workers(int workers) {
+  QDC_EXPECT(workers >= 0,
+             "ExperimentServer: workers must be >= 0 (0 = hardware)");
+  return workers == 0 ? util::ThreadPool::hardware_threads() : workers;
+}
+
 }  // namespace
 
 ExperimentServer::ExperimentServer(ServerOptions options)
     : options_(std::move(options)),
       queue_(options_.queue_capacity, options_.tick),
       cache_(options_.cache_bytes),
-      runner_(util::SweepOptions{options_.workers, /*master_seed=*/0}) {
+      worker_count_(resolve_workers(options_.workers)) {
   QDC_EXPECT(!options_.socket_path.empty(),
              "ExperimentServer: socket_path must be set");
 }
@@ -35,7 +42,10 @@ void ExperimentServer::start() {
   }
   listener_ = listen_unix(options_.socket_path, options_.listen_backlog);
   accept_thread_ = std::thread([this] { accept_loop(); });
-  dispatcher_thread_ = std::thread([this] { dispatcher_loop(); });
+  worker_threads_.reserve(static_cast<std::size_t>(worker_count_));
+  for (int w = 0; w < worker_count_; ++w) {
+    worker_threads_.emplace_back([this] { worker_loop(); });
+  }
 }
 
 void ExperimentServer::wait() {
@@ -54,18 +64,21 @@ void ExperimentServer::stop() {
   }
   lifecycle_cv_.notify_all();
 
-  // 1. No new work; optionally abandon queued work. The dispatcher then
-  //    finishes its in-flight batch (plus the backlog when draining) and
-  //    exits, which also unblocks every wait_terminal.
+  // 1. No new work; optionally abandon queued work. The workers then
+  //    finish their in-flight jobs (plus the backlog when draining),
+  //    commit them and exit, which also unblocks every wait_terminal.
   queue_.close();
   if (!drain) queue_.cancel_all_queued();
-  if (dispatcher_thread_.joinable()) dispatcher_thread_.join();
+  for (std::thread& worker : worker_threads_) {
+    if (worker.joinable()) worker.join();
+  }
 
   // 2. Stop accepting; then wake every connection handler out of its
-  //    blocking read so the threads can be joined.
+  //    blocking read so the threads can be joined. The listener fd is
+  //    closed only after the accept thread, which reads it, has exited.
   shutdown_socket(listener_);
-  listener_.reset();
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.reset();
 
   std::lock_guard<std::mutex> lock(conn_mutex_);
   for (const auto& slot : connections_) shutdown_socket(slot->fd);
@@ -131,74 +144,64 @@ void ExperimentServer::accept_loop() {
   }
 }
 
-void ExperimentServer::dispatcher_loop() {
-  const int batch_max = runner_.worker_count();
-  for (;;) {
-    const std::vector<std::uint64_t> batch = queue_.pop_batch(batch_max);
-    if (batch.empty()) {
-      if (queue_.closed()) return;  // drained (or cancelled) and closing
-      continue;  // every dequeued entry had been cancelled/expired
+void ExperimentServer::worker_loop() {
+  while (const std::optional<PoppedJob> job = queue_.pop()) {
+    Outcome outcome;
+    outcome.id = job->id;
+    outcome.key = job->key;
+    outcome.submit_tick = job->submit_tick;
+    const std::uint64_t t0 = now_us();
+    try {
+      std::vector<std::uint8_t> bytes = execute_job(job->spec);
+      // The cache budgets size(), and cached payloads live long: drop the
+      // encoder's growth slack (up to ~2x) before they are retained.
+      bytes.shrink_to_fit();
+      outcome.result =
+          std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
+    } catch (const std::exception& e) {
+      outcome.error = e.what();
     }
-    run_batch(batch);
+    const std::uint64_t t1 = now_us();
+    outcome.compute_us = t1 >= t0 ? t1 - t0 : 0;
+    hand_off(job->seq, std::move(outcome));
   }
 }
 
-void ExperimentServer::run_batch(const std::vector<std::uint64_t>& batch) {
-  // alignas keeps adjacent shard slots off one cache line: workers write
-  // their own slot concurrently.
-  struct alignas(64) Slot {
-    bool ok = false;
-    std::vector<std::uint8_t> payload;
-    std::string error;
-    std::uint64_t compute_us = 0;
-  };
-  const std::size_t count = batch.size();
-  std::vector<Slot> slots(count);
-  std::vector<JobSpec> specs(count);
-  std::vector<std::uint64_t> keys(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::optional<JobRecord> rec = queue_.status(batch[i]);
-    QDC_EXPECT(rec.has_value(), "run_batch: popped id has no record");
-    specs[i] = rec->spec;
-    keys[i] = rec->key;
+void ExperimentServer::hand_off(std::uint64_t seq, Outcome outcome) {
+  std::unique_lock<std::mutex> lock(commit_mutex_);
+  ready_.emplace(seq, std::move(outcome));
+  // The active committer re-checks the head after every commit, so it
+  // reaches this outcome without help.
+  if (committing_) return;
+  committing_ = true;
+  for (auto head = ready_.find(next_commit_seq_); head != ready_.end();
+       head = ready_.find(next_commit_seq_)) {
+    Outcome next = std::move(head->second);
+    ready_.erase(head);
+    // Commit outside the lock so other workers can park outcomes
+    // meanwhile; committing_ keeps commits serial and in seq order.
+    lock.unlock();
+    commit(next);
+    lock.lock();
+    ++next_commit_seq_;
   }
+  committing_ = false;
+}
 
-  // Workers write only their batch-indexed slot; everything shared
-  // (cache, queue, timing) is touched serially below, in batch order, so
-  // cache admission/eviction order is independent of worker interleaving.
-  runner_.run(static_cast<int>(count), [&](const util::SweepJob& job) {
-    const auto idx = static_cast<std::size_t>(job.index);
-    const std::uint64_t t0 = now_us();
-    try {
-      slots[idx].payload = execute_job(specs[idx]);
-      slots[idx].ok = true;
-    } catch (const std::exception& e) {
-      slots[idx].error = e.what();
-    }
-    const std::uint64_t t1 = now_us();
-    slots[idx].compute_us = t1 >= t0 ? t1 - t0 : 0;
-  });
-
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t id = batch[i];
-    // Record timing before the terminal transition: complete()/fail()
-    // wake wait_terminal waiters, and a client that was unblocked by
-    // that wakeup may immediately read admin stats.
-    const std::optional<JobRecord> running = queue_.status(id);
-    const std::uint64_t now = now_us();
-    const std::uint64_t wall =
-        running && now >= running->submit_tick ? now - running->submit_tick
-                                               : 0;
-    record_timing(wall, slots[i].compute_us);
-    if (slots[i].ok) {
-      auto bytes = std::make_shared<const std::vector<std::uint8_t>>(
-          std::move(slots[i].payload));
-      cache_.insert(keys[i], bytes);
-      queue_.complete(id, std::move(bytes), /*cached=*/false,
-                      slots[i].compute_us);
-    } else {
-      queue_.fail(id, ErrorCode::ExecutionFailed, slots[i].error);
-    }
+void ExperimentServer::commit(Outcome& outcome) {
+  // Record timing before the terminal transition: complete()/fail()
+  // wake wait_terminal waiters, and a client that was unblocked by that
+  // wakeup may immediately read admin stats.
+  const std::uint64_t now = now_us();
+  const std::uint64_t wall =
+      now >= outcome.submit_tick ? now - outcome.submit_tick : 0;
+  record_timing(wall, outcome.compute_us);
+  if (outcome.result) {
+    cache_.insert(outcome.key, outcome.result);
+    queue_.complete(outcome.id, std::move(outcome.result), /*cached=*/false,
+                    outcome.compute_us);
+  } else {
+    queue_.fail(outcome.id, ErrorCode::ExecutionFailed, outcome.error);
   }
 }
 

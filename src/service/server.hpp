@@ -1,20 +1,23 @@
 // The experiment service daemon core: a long-lived server that accepts
 // JobSpec requests over the length-prefixed wire protocol on a local
 // unix-domain socket, multiplexes concurrent clients onto one bounded
-// FIFO job queue, executes batches on the util::SweepRunner machinery,
-// and serves repeated specs from the content-addressed result cache.
+// FIFO job queue, executes jobs on a pool of worker threads, and serves
+// repeated specs from the content-addressed result cache.
 //
 // Threading model (docs/SERVICE.md "Operations" section):
 //
 //   * one accept thread; one handler thread per connection (the protocol
 //     is strictly request/response, so a connection is a session of
 //     serial requests — a WAIT submit parks only its own connection);
-//   * one dispatcher thread drains the queue in batches of at most
-//     `workers` jobs and runs each batch on a SweepRunner. Job closures
-//     write only batch-indexed slots; cache insertion and terminal
-//     transitions happen serially in batch order afterwards, so the
-//     cache's LRU/eviction sequence is a deterministic function of the
-//     admission order, never of worker interleaving.
+//   * `workers` worker threads, each looping: pop one job (JobQueue::pop
+//     hands out a pop sequence number with it), execute it, and hand the
+//     outcome to a reorder buffer without waiting for its turn. Whichever
+//     worker hands off the oldest uncommitted job commits every ready
+//     outcome in pop-sequence order: timing, then cache insertion, then
+//     the terminal transition. The cache's LRU/eviction sequence is thus
+//     a pure function of pop order, never of which worker finished
+//     first; a Done reply implies the result is already cached; and a
+//     finished job waits only on jobs popped before it.
 //
 // Determinism contract: the server adds no entropy. Results come from
 // execute_job (pure in the spec), timings come only from the injected
@@ -24,14 +27,15 @@
 //
 // Shutdown: a ShutdownRequest (or Ctrl-C in the daemon) makes wait()
 // return; the owner then calls stop(), which drains or cancels the
-// queue (per the request's drain flag), joins the dispatcher, closes
-// the listener and every connection, and joins all handler threads.
+// queue (per the request's drain flag), joins the workers, closes the
+// listener and every connection, and joins all handler threads.
 // stop() is idempotent and also runs from the destructor.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -42,15 +46,16 @@
 #include "service/result_cache.hpp"
 #include "service/socket_io.hpp"
 #include "service/wire.hpp"
-#include "util/sweep.hpp"
 
 namespace qdc::service {
 
 struct ServerOptions {
   std::string socket_path;
 
-  /// Sweep workers executing job batches. 1 = serial (default);
-  /// 0 = all hardware threads. Results are identical for every value.
+  /// Worker threads, each pulling one job at a time off the queue.
+  /// 1 = serial (default); 0 = all hardware threads; negative is a
+  /// ContractError. Results and cache contents are identical for every
+  /// value.
   int workers = 1;
 
   /// Bounded FIFO admission: submits beyond this many queued jobs are
@@ -76,7 +81,7 @@ class ExperimentServer {
   ExperimentServer(const ExperimentServer&) = delete;
   ExperimentServer& operator=(const ExperimentServer&) = delete;
 
-  /// Binds the socket and starts the accept + dispatcher threads.
+  /// Binds the socket and starts the accept + worker threads.
   /// Throws ModelError when the socket cannot be bound.
   void start();
 
@@ -85,7 +90,7 @@ class ExperimentServer {
   void wait();
 
   /// Stops the server: closes the queue (draining it first iff the
-  /// pending shutdown asked to), joins the dispatcher, shuts every
+  /// pending shutdown asked to), joins the workers, shuts every
   /// connection and joins all threads. Idempotent.
   void stop();
 
@@ -110,9 +115,23 @@ class ExperimentServer {
     std::uint64_t max_compute_us = 0;
   };
 
+  /// A finished job parked in the reorder buffer until its pop-order
+  /// turn to commit.
+  struct Outcome {
+    std::uint64_t id = 0;
+    std::uint64_t key = 0;
+    std::uint64_t submit_tick = 0;
+    std::uint64_t compute_us = 0;
+    ResultBytes result;  ///< set iff execution succeeded
+    std::string error;
+  };
+
   void accept_loop();
-  void dispatcher_loop();
-  void run_batch(const std::vector<std::uint64_t>& batch);
+  void worker_loop();
+  /// Parks `outcome` under pop sequence `seq`; if no other worker is
+  /// committing, commits every ready outcome in sequence order.
+  void hand_off(std::uint64_t seq, Outcome outcome);
+  void commit(Outcome& outcome);
   void connection_loop(ConnSlot* slot);
 
   /// Handles one well-formed frame; false = close the connection.
@@ -133,11 +152,15 @@ class ExperimentServer {
   ServerOptions options_;
   JobQueue queue_;
   ResultCache cache_;
-  util::SweepRunner runner_;
+  const int worker_count_;
 
   Fd listener_;
   std::thread accept_thread_;
-  std::thread dispatcher_thread_;
+
+  std::mutex commit_mutex_;
+  std::map<std::uint64_t, Outcome> ready_;  // pop seq -> uncommitted outcome
+  std::uint64_t next_commit_seq_ = 0;
+  bool committing_ = false;  // a worker is draining ready_ in seq order
 
   std::mutex conn_mutex_;
   std::vector<std::unique_ptr<ConnSlot>> connections_;
@@ -153,6 +176,10 @@ class ExperimentServer {
 
   mutable std::mutex timing_mutex_;
   Timing timing_;
+
+  // Declared last: workers touch the queue, cache, reorder buffer and
+  // timing above, so those must outlive the threads.
+  std::vector<std::thread> worker_threads_;
 };
 
 }  // namespace qdc::service

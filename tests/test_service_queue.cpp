@@ -37,8 +37,11 @@ TEST(ServiceQueue, FifoIdsAndDepth) {
   EXPECT_EQ(queue.depth(), 2);
   EXPECT_EQ(queue.in_flight(), 0);
 
-  const std::vector<std::uint64_t> batch = queue.pop_batch(8);
-  EXPECT_EQ(batch, (std::vector<std::uint64_t>{1, 2}));
+  const std::optional<PoppedJob> first = queue.pop();
+  const std::optional<PoppedJob> second = queue.pop();
+  ASSERT_TRUE(first.has_value() && second.has_value());
+  EXPECT_EQ(first->id, a);  // FIFO
+  EXPECT_EQ(second->id, b);
   EXPECT_EQ(queue.depth(), 0);
   EXPECT_EQ(queue.in_flight(), 2);
   EXPECT_EQ(queue.status(a)->state, JobState::Running);
@@ -52,17 +55,30 @@ TEST(ServiceQueue, BoundedBackpressure) {
   EXPECT_EQ(queue.counters().rejected_full, 1u);
 
   // Draining one job frees one admission slot.
-  const std::vector<std::uint64_t> batch = queue.pop_batch(1);
-  ASSERT_EQ(batch.size(), 1u);
+  ASSERT_TRUE(queue.pop().has_value());
   EXPECT_NE(queue.submit(small_spec(), 3, 0), 0u);
 }
 
-TEST(ServiceQueue, PopBatchRespectsMaxJobs) {
+// Each pop hands out exactly one job with the next pop sequence number;
+// skipped (cancelled) entries consume none, so the sequence stays dense —
+// the server's reorder buffer commits by it.
+TEST(ServiceQueue, PopSequenceIsDenseInPopOrder) {
   JobQueue queue(8, nullptr);
-  for (int i = 0; i < 5; ++i) queue.submit(small_spec(), 1, 0);
-  EXPECT_EQ(queue.pop_batch(2).size(), 2u);
-  EXPECT_EQ(queue.pop_batch(2).size(), 2u);
-  EXPECT_EQ(queue.pop_batch(2).size(), 1u);
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    queue.submit(small_spec(8 + i), 100 + i, 0);
+  }
+  EXPECT_EQ(queue.cancel(3), JobState::Cancelled);
+  const std::vector<std::uint64_t> expected_ids{1, 2, 4, 5};
+  for (std::uint64_t seq = 0; seq < expected_ids.size(); ++seq) {
+    const std::optional<PoppedJob> job = queue.pop();
+    ASSERT_TRUE(job.has_value());
+    EXPECT_EQ(job->id, expected_ids[seq]);
+    EXPECT_EQ(job->seq, seq);
+    EXPECT_EQ(job->key, 99 + job->id);
+    EXPECT_EQ(job->spec.nodes, 7 + job->id);
+  }
+  EXPECT_EQ(queue.depth(), 0);
+  EXPECT_EQ(queue.in_flight(), 4);
 }
 
 TEST(ServiceQueue, CancelOnlyWhileQueued) {
@@ -70,19 +86,20 @@ TEST(ServiceQueue, CancelOnlyWhileQueued) {
   const std::uint64_t queued = queue.submit(small_spec(), 1, 0);
   const std::uint64_t running = queue.submit(small_spec(), 2, 0);
 
-  // Make `running` Running but leave `queued`... pop_batch is FIFO, so
-  // pop one: that is the first submit. Re-order: cancel the second while
-  // the first runs.
-  const std::vector<std::uint64_t> batch = queue.pop_batch(1);
-  ASSERT_EQ(batch, (std::vector<std::uint64_t>{queued}));
+  // Make `running` Running but leave `queued`... pop is FIFO, so pop
+  // one: that is the first submit. Re-order: cancel the second while the
+  // first runs.
+  const std::optional<PoppedJob> job = queue.pop();
+  ASSERT_TRUE(job.has_value());
+  EXPECT_EQ(job->id, queued);
 
   EXPECT_EQ(queue.cancel(running), JobState::Cancelled);
   EXPECT_EQ(queue.counters().cancelled, 1u);
   // Cancelling a Running job is refused: state reported unchanged.
   EXPECT_EQ(queue.cancel(queued), JobState::Running);
-  // Cancelled ids never surface in later batches.
+  // Cancelled ids never surface in later pops.
   queue.close();
-  EXPECT_TRUE(queue.pop_batch(4).empty());
+  EXPECT_FALSE(queue.pop().has_value());
   // Unknown ids are distinguishable from refusals.
   EXPECT_EQ(queue.cancel(999), std::nullopt);
 }
@@ -91,7 +108,8 @@ TEST(ServiceQueue, CompleteAndFailProduceTerminalRecords) {
   JobQueue queue(4, nullptr);
   const std::uint64_t ok = queue.submit(small_spec(), 1, 0);
   const std::uint64_t bad = queue.submit(small_spec(), 2, 0);
-  queue.pop_batch(2);
+  ASSERT_TRUE(queue.pop().has_value());
+  ASSERT_TRUE(queue.pop().has_value());
 
   queue.complete(ok, some_bytes(), false, 55);
   queue.fail(bad, ErrorCode::ExecutionFailed, "exploded");
@@ -114,7 +132,7 @@ TEST(ServiceQueue, CompleteAndFailProduceTerminalRecords) {
 }
 
 // Queue-wait expiry is driven entirely by the injected tick source: a
-// job whose deadline passes before its batch starts is Expired and never
+// job whose deadline passes before a worker pops it is Expired and never
 // returned. With no tick source, timeouts never fire.
 TEST(ServiceQueue, TickDrivenQueueWaitExpiry) {
   std::atomic<std::uint64_t> now{0};
@@ -124,8 +142,10 @@ TEST(ServiceQueue, TickDrivenQueueWaitExpiry) {
   const std::uint64_t alive = queue.submit(small_spec(), 2, 1'000'000);
   now.store(500);  // past the first deadline, inside the second
 
-  const std::vector<std::uint64_t> batch = queue.pop_batch(4);
-  EXPECT_EQ(batch, (std::vector<std::uint64_t>{alive}));
+  const std::optional<PoppedJob> job = queue.pop();
+  ASSERT_TRUE(job.has_value());
+  EXPECT_EQ(job->id, alive);
+  EXPECT_EQ(job->seq, 0u);  // the expired entry consumed no sequence number
   EXPECT_EQ(queue.status(expired)->state, JobState::Expired);
   EXPECT_EQ(queue.counters().expired, 1u);
   // wall_us is measured in ticks: submit at 0, expired at 500.
@@ -135,8 +155,9 @@ TEST(ServiceQueue, TickDrivenQueueWaitExpiry) {
 TEST(ServiceQueue, NullTickDisablesTimeoutsAndTimings) {
   JobQueue queue(4, nullptr);
   const std::uint64_t id = queue.submit(small_spec(), 1, /*timeout_us=*/1);
-  const std::vector<std::uint64_t> batch = queue.pop_batch(4);
-  EXPECT_EQ(batch, (std::vector<std::uint64_t>{id}));  // never expires
+  const std::optional<PoppedJob> job = queue.pop();
+  ASSERT_TRUE(job.has_value());
+  EXPECT_EQ(job->id, id);  // never expires
   queue.complete(id, some_bytes(), false, 0);
   EXPECT_EQ(queue.status(id)->wall_us, 0u);
 }
@@ -146,9 +167,9 @@ TEST(ServiceQueue, WaitTerminalBlocksUntilCompletion) {
   const std::uint64_t id = queue.submit(small_spec(), 1, 0);
 
   std::thread completer([&] {
-    const std::vector<std::uint64_t> batch = queue.pop_batch(1);
-    ASSERT_EQ(batch.size(), 1u);
-    queue.complete(batch[0], some_bytes(), false, 7);
+    const std::optional<PoppedJob> job = queue.pop();
+    ASSERT_TRUE(job.has_value());
+    queue.complete(job->id, some_bytes(), false, 7);
   });
   const std::optional<JobRecord> rec = queue.wait_terminal(id);
   completer.join();
@@ -175,10 +196,10 @@ TEST(ServiceQueue, CancelAllQueuedWakesWaiters) {
   EXPECT_EQ(queue.submit(small_spec(), 2, 0), 0u);  // closed: rejected
 }
 
-TEST(ServiceQueue, PopBatchUnblocksOnClose) {
+TEST(ServiceQueue, PopUnblocksOnClose) {
   JobQueue queue(4, nullptr);
   std::thread closer([&] { queue.close(); });
-  EXPECT_TRUE(queue.pop_batch(1).empty());
+  EXPECT_FALSE(queue.pop().has_value());
   closer.join();
   EXPECT_TRUE(queue.closed());
 }
@@ -190,7 +211,7 @@ TEST(ServiceQueue, TerminalRingForgetsOldestRecords) {
     const std::uint64_t id = queue.submit(small_spec(), 1, 0);
     ASSERT_NE(id, 0u);
     if (first == 0) first = id;
-    queue.pop_batch(1);
+    ASSERT_TRUE(queue.pop().has_value());
     queue.complete(id, some_bytes(), false, 0);
   }
   EXPECT_EQ(queue.status(first), std::nullopt);  // forgotten

@@ -1,8 +1,9 @@
 // End-to-end server tests over a real unix-domain socket: the cache-hit
 // byte-identity guarantee, malformed-frame handling, disconnect during a
 // job, queue-full backpressure, wire-level cancellation, shutdown modes,
-// and admin-counter consistency under concurrent clients (the TSan CI
-// job runs every Service* suite).
+// admin-counter consistency under concurrent clients, continuous worker
+// pull with pop-order commit, and cache admission independent of the
+// worker count (the TSan CI job runs every Service* suite).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +21,7 @@
 #include "service/server.hpp"
 #include "service/socket_io.hpp"
 #include "service/wire.hpp"
+#include "util/expect.hpp"
 
 namespace qdc::service {
 namespace {
@@ -47,7 +49,7 @@ JobSpec census_spec(std::uint32_t nodes) {
 
 /// ~50-200ms of single-threaded compute (leader election walks the whole
 /// cycle): long enough that a submit issued while this runs is
-/// guaranteed to find the dispatcher busy, short enough for CI.
+/// guaranteed to find the worker busy, short enough for CI.
 JobSpec slow_spec(std::uint64_t seed_tweak = 0) {
   JobSpec spec;
   spec.topology = TopologyKind::Cycle;
@@ -506,6 +508,140 @@ TEST(ServiceServer, DirectStopCancelsQueuedJobs) {
   const AdminStats stats = server.stats();
   EXPECT_EQ(stats.jobs_completed, 1u);
   EXPECT_EQ(stats.jobs_cancelled, 1u);
+}
+
+TEST(ServiceServer, WorkerCountGuard) {
+  ServerOptions options = base_options("workerguard");
+  options.workers = -1;
+  EXPECT_THROW(ExperimentServer{options}, ContractError);
+
+  // 0 resolves to every hardware thread and serves normally.
+  options.workers = 0;
+  ExperimentServer server(options);
+  server.start();
+  ServiceClient client(server.socket_path());
+  const SubmitResult r = client.submit(census_spec(12));
+  ASSERT_EQ(r.error, ErrorCode::None) << r.error_message;
+  EXPECT_EQ(r.status.state, JobState::Done);
+  server.stop();
+}
+
+// Workers pull jobs one at a time, so a job submitted while another runs
+// starts at once on a free worker (a batch barrier would hold it Queued
+// until the running job commits). Results still commit in pop order, so
+// the later, faster job is never Done before the earlier one.
+TEST(ServiceServer, WorkersPullContinuouslyAndCommitInPopOrder) {
+  ServerOptions options = base_options("poporder");
+  options.workers = 2;
+  ExperimentServer server(options);
+  server.start();
+  ServiceClient client(server.socket_path());
+
+  JobSpec slow;  // ~0.1-0.3 s of MST: far longer than a few polls
+  slow.topology = TopologyKind::LbNetwork;
+  slow.algorithm = AlgorithmKind::Mst;
+  slow.gamma = 16;
+  slow.length = 65;
+  const SubmitResult a = client.submit(slow, SubmitOptions{.wait = false});
+  ASSERT_EQ(a.error, ErrorCode::None);
+  ASSERT_EQ(wait_until_running(client, a.status.job_id), JobState::Running);
+  const SubmitResult b =
+      client.submit(census_spec(16), SubmitOptions{.wait = false});
+  ASSERT_EQ(b.error, ErrorCode::None);
+
+  // Poll B before A each round: states only move forward, so A's state
+  // read second also held when B's was read.
+  bool b_started_while_a_running = false;
+  bool both_done = false;
+  for (int i = 0; i < 20000 && !both_done; ++i) {
+    const PollResult pb = client.poll(b.status.job_id);
+    const PollResult pa = client.poll(a.status.job_id);
+    ASSERT_EQ(pb.error, ErrorCode::None);
+    ASSERT_EQ(pa.error, ErrorCode::None);
+    if (pb.status.state != JobState::Queued &&
+        pa.status.state == JobState::Running) {
+      b_started_while_a_running = true;
+    }
+    if (pb.status.state == JobState::Done) {
+      ASSERT_EQ(pa.status.state, JobState::Done)
+          << "the later-popped job committed before the earlier one";
+    }
+    both_done = pa.status.state == JobState::Done &&
+                pb.status.state == JobState::Done;
+    if (!both_done) std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  EXPECT_TRUE(both_done);
+  EXPECT_TRUE(b_started_while_a_running);
+  server.stop();
+}
+
+// Cache admission is a pure function of pop order: one client submitting
+// a fixed sequence without waiting leaves the same cache contents, and
+// the same later hit/miss pattern, at every worker count — even though
+// the specs' costs differ enough that completion order does not follow
+// pop order with several workers.
+TEST(ServiceServer, CacheAdmissionIndependentOfWorkerCount) {
+  std::vector<JobSpec> specs;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    JobSpec mst;  // result payload grows 8 bytes per node
+    mst.topology = TopologyKind::Gnm;
+    mst.algorithm = AlgorithmKind::Mst;
+    mst.nodes = 40 + 6 * i;
+    mst.edges = 2 * mst.nodes;
+    mst.topology_seed = 11 + i;
+    specs.push_back(mst);
+    specs.push_back(census_spec(9 + i));
+  }
+
+  struct Observed {
+    std::uint64_t entries = 0;
+    std::uint64_t bytes = 0;
+    std::uint64_t evictions = 0;
+    std::vector<bool> hits;
+  };
+  const auto observe = [&](int workers) {
+    ServerOptions options =
+        base_options("admission" + std::to_string(workers));
+    options.workers = workers;
+    options.queue_capacity = 64;
+    options.cache_bytes = 2000;  // about a third of all results
+    ExperimentServer server(options);
+    server.start();
+    ServiceClient client(server.socket_path());
+    std::vector<std::uint64_t> ids;
+    for (const JobSpec& spec : specs) {
+      const SubmitResult r = client.submit(spec, SubmitOptions{.wait = false});
+      EXPECT_EQ(r.error, ErrorCode::None) << r.error_message;
+      ids.push_back(r.status.job_id);
+    }
+    for (const std::uint64_t id : ids) {
+      EXPECT_EQ(wait_until_terminal(client, id).state, JobState::Done);
+    }
+    Observed seen;
+    const AdminResult admin = client.admin();
+    EXPECT_EQ(admin.error, ErrorCode::None);
+    seen.entries = admin.stats.cache_entries;
+    seen.bytes = admin.stats.cache_bytes;
+    seen.evictions = admin.stats.cache_evictions;
+    for (const JobSpec& spec : specs) {
+      const SubmitResult r = client.submit(spec);
+      EXPECT_EQ(r.status.state, JobState::Done);
+      seen.hits.push_back(r.status.cached);
+    }
+    server.stop();
+    return seen;
+  };
+
+  const Observed serial = observe(1);
+  EXPECT_GT(serial.evictions, 0u);  // the budget really forces evictions
+  EXPECT_GT(serial.entries, 0u);
+  for (const int workers : {2, 4}) {
+    const Observed parallel = observe(workers);
+    EXPECT_EQ(parallel.entries, serial.entries) << workers << " workers";
+    EXPECT_EQ(parallel.bytes, serial.bytes) << workers << " workers";
+    EXPECT_EQ(parallel.evictions, serial.evictions) << workers << " workers";
+    EXPECT_EQ(parallel.hits, serial.hits) << workers << " workers";
+  }
 }
 
 }  // namespace

@@ -28,14 +28,6 @@
 // exits 1 on any mismatch, so a determinism regression can never produce a
 // plausible-looking report; the QuantumDeterminism suite pins the same
 // property in ctest.
-//
-// Schema version 2 adds fused-kernel variants (quantum/fusion.hpp): each
-// case carries "variant" ("unfused", "fused" or "fused_dense") and
-// "fusion_window" (0 for unfused). The fused "gates" and "grover" variants
-// record the exact same gate sequence as their unfused twins; the bench
-// asserts their checksums are BIT-IDENTICAL to the unfused payloads and
-// that the fused gates case beats the unfused one on single-thread wall
-// time, and exits 1 if either property fails.
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -46,7 +38,6 @@
 #include <vector>
 
 #include "harness.hpp"
-#include "quantum/fusion.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/grover.hpp"
 #include "quantum/state.hpp"
@@ -102,8 +93,6 @@ struct ThreadResult {
 
 struct CaseResult {
   std::string name;
-  std::string variant = "unfused";
-  int fusion_window = 0;  // 0 = unfused path
   int qubits = 0;
   std::int64_t ops = 0;
   std::uint64_t checksum = 0;
@@ -129,67 +118,23 @@ struct Workload {
   std::int64_t ops = 0;
 };
 
-/// How a workload drives the statevector: the classic per-gate kernels,
-/// the exact fused kernel (bit-identical by contract), or the dense
-/// fused matvec kernel (~1e-12 of exact).
-enum class Variant { kUnfused, kFused, kFusedDense };
-
-const char* variant_name(Variant v) {
-  switch (v) {
-    case Variant::kUnfused: return "unfused";
-    case Variant::kFused: return "fused";
-    default: return "fused_dense";
-  }
-}
-
 /// The gate-kernel workload: `layers` sweeps of single-qubit and
-/// controlled pairs plus an oracle pass over a `qubits`-wide state. The
-/// fused variants record the exact same sequence into a FusedCircuit
-/// (oracles act as barriers) and replay it; circuit build + seal cost is
-/// deliberately inside the timed region — it is part of what the fused
-/// path costs.
-Workload run_gates(int qubits, int layers, qdc::util::ThreadPool* pool,
-                   Variant variant, int fusion_window) {
+/// controlled pairs plus an oracle pass over a `qubits`-wide state.
+Workload run_gates(int qubits, int layers, qdc::util::ThreadPool* pool) {
   StateVector s(qubits, pool);
   Workload w;
   for (int layer = 0; layer < layers; ++layer) {
     w.ops += 3 * qubits + (qubits - 1) + qubits / 2 + 1;
-  }
-  if (variant == Variant::kUnfused) {
-    for (int layer = 0; layer < layers; ++layer) {
-      for (int q = 0; q < qubits; ++q) s.apply(qdc::quantum::hadamard(), q);
-      for (int q = 0; q < qubits; ++q) {
-        s.apply(qdc::quantum::ry(0.1 * q + 0.01 * layer + 0.3), q);
-      }
-      for (int q = 0; q + 1 < qubits; ++q) s.cnot(q, q + 1);
-      for (int q = 1; q < qubits; q += 2) {
-        s.apply_controlled(qdc::quantum::phase_t(), q - 1, q);
-      }
-      s.oracle_phase(
-          [](std::size_t i) { return (i * 2654435761ULL) % 11 == 7; });
+    for (int q = 0; q < qubits; ++q) s.apply(qdc::quantum::hadamard(), q);
+    for (int q = 0; q < qubits; ++q) {
+      s.apply(qdc::quantum::ry(0.1 * q + 0.01 * layer + 0.3), q);
     }
-  } else {
-    qdc::quantum::FusedCircuit circuit(qubits, fusion_window);
-    for (int layer = 0; layer < layers; ++layer) {
-      for (int q = 0; q < qubits; ++q) {
-        circuit.gate(qdc::quantum::hadamard(), q);
-      }
-      for (int q = 0; q < qubits; ++q) {
-        circuit.gate(qdc::quantum::ry(0.1 * q + 0.01 * layer + 0.3), q);
-      }
-      for (int q = 0; q + 1 < qubits; ++q) circuit.cnot(q, q + 1);
-      for (int q = 1; q < qubits; q += 2) {
-        circuit.controlled(qdc::quantum::phase_t(), q - 1, q);
-      }
-      circuit.oracle(
-          [](std::size_t i) { return (i * 2654435761ULL) % 11 == 7; });
+    for (int q = 0; q + 1 < qubits; ++q) s.cnot(q, q + 1);
+    for (int q = 1; q < qubits; q += 2) {
+      s.apply_controlled(qdc::quantum::phase_t(), q - 1, q);
     }
-    circuit.seal();
-    if (variant == Variant::kFused) {
-      circuit.run(s);
-    } else {
-      circuit.run_dense(s);
-    }
+    s.oracle_phase(
+        [](std::size_t i) { return (i * 2654435761ULL) % 11 == 7; });
   }
   w.checksum = state_checksum(s);
   return w;
@@ -219,14 +164,11 @@ Workload run_reduce(int qubits, int reps, qdc::util::ThreadPool* pool) {
 }
 
 /// The full-search workload: one fixed-seed Grover run, oracle to collapse.
-/// fusion_window = 0 runs the classic loop; > 0 routes the Hadamard layers
-/// through fused windows (oracle and diffusion phases stay barriers).
-Workload run_grover(int qubits, qdc::util::ThreadPool* pool,
-                    int fusion_window) {
+Workload run_grover(int qubits, qdc::util::ThreadPool* pool) {
   qdc::Rng rng(20140721);
   const auto r = qdc::quantum::grover_search(
       qubits, [](std::size_t i) { return i % 257 == 3; }, rng,
-      /*iterations=*/-1, pool, fusion_window);
+      /*iterations=*/-1, pool);
   Workload w;
   w.ops = r.iterations;
   std::uint64_t acc = mix64(static_cast<std::uint64_t>(r.found));
@@ -235,23 +177,19 @@ Workload run_grover(int qubits, qdc::util::ThreadPool* pool,
   return w;
 }
 
-CaseResult run_case(const std::string& name, Variant variant,
-                    int fusion_window, int qubits, int reps,
+CaseResult run_case(const std::string& name, int qubits, int reps,
                     const std::vector<int>& thread_counts,
                     const std::function<Workload(qdc::util::ThreadPool*)>&
                         workload) {
   CaseResult result;
   result.name = name;
-  result.variant = variant_name(variant);
-  result.fusion_window = variant == Variant::kUnfused ? 0 : fusion_window;
   result.qubits = qubits;
   bool first = true;
   for (const int threads : thread_counts) {
     qdc::util::ThreadPool pool(threads);
     // Best-of-reps: the workload is deterministic, so repeated runs only
-    // differ by scheduler noise and the minimum is the honest estimate —
-    // what makes the fused-vs-unfused wall-time comparison below robust
-    // on busy shared runners.
+    // differ by scheduler noise and the minimum is the honest estimate on
+    // busy shared runners.
     double seconds = 0.0;
     Workload w;
     for (int rep = 0; rep < reps; ++rep) {
@@ -349,7 +287,7 @@ void write_json(const std::string& path, const std::vector<CaseResult>& cases,
   }
   out << "{\n";
   out << "  \"bench\": \"quantum_scaling\",\n";
-  out << "  \"schema_version\": 2,\n";
+  out << "  \"schema_version\": 3,\n";
   out << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
   out << "  \"mode\": \"" << mode << "\",\n";
   out << "  \"hardware_threads\": "
@@ -359,8 +297,6 @@ void write_json(const std::string& path, const std::vector<CaseResult>& cases,
     const CaseResult& cr = cases[c];
     out << "    {\n";
     out << "      \"name\": \"" << cr.name << "\",\n";
-    out << "      \"variant\": \"" << cr.variant << "\",\n";
-    out << "      \"fusion_window\": " << cr.fusion_window << ",\n";
     out << "      \"qubits\": " << cr.qubits << ",\n";
     out << "      \"ops\": " << cr.ops << ",\n";
     out << "      \"checksum\": \"" << hex64(cr.checksum) << "\",\n";
@@ -421,92 +357,33 @@ int main(int argc, char** argv) {
   }
   const std::string mode = gate ? "gate" : smoke ? "smoke" : "full";
 
-  // gate: one large gate-kernel case (plus its fused twin), threads
-  // {1, 4} — big enough that per-shard work dominates pool scheduling,
-  // small enough for a PR job. Smoke keeps the state at 2^16 amplitudes so
-  // the fused-vs-unfused wall-time ordering is measurable, not noise.
+  // gate: one large gate-kernel case, threads {1, 4} — big enough that
+  // per-shard work dominates pool scheduling, small enough for a PR job.
   const int gate_qubits = gate ? 21 : smoke ? 16 : 22;
   const int layers = gate ? 3 : smoke ? 2 : 2;
   const int reduce_qubits = smoke ? 14 : 22;
   const int reduce_reps = smoke ? 2 : 8;
   const int grover_qubits = smoke ? 10 : 16;
-  const int fusion_window = qdc::quantum::kDefaultFusionWindow;
   const int reps = smoke ? 2 : 3;
   const std::vector<int> thread_counts =
       gate ? std::vector<int>{1, 4}
            : smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
 
   std::vector<CaseResult> cases;
-  const auto gates_case = [&](const std::string& name, Variant variant) {
-    return run_case(name, variant, fusion_window, gate_qubits, reps,
-                    thread_counts,
-                    [&, variant](qdc::util::ThreadPool* pool) {
-                      return run_gates(gate_qubits, layers, pool, variant,
-                                       fusion_window);
-                    });
-  };
-  cases.push_back(gates_case("gates", Variant::kUnfused));
-  cases.push_back(gates_case("gates_fused", Variant::kFused));
+  cases.push_back(run_case("gates", gate_qubits, reps, thread_counts,
+                           [&](qdc::util::ThreadPool* pool) {
+                             return run_gates(gate_qubits, layers, pool);
+                           }));
   if (!gate) {
-    cases.push_back(gates_case("gates_fused_dense", Variant::kFusedDense));
-    cases.push_back(run_case("reduce", Variant::kUnfused, 0, reduce_qubits,
-                             reps, thread_counts,
+    cases.push_back(run_case("reduce", reduce_qubits, reps, thread_counts,
                              [&](qdc::util::ThreadPool* pool) {
                                return run_reduce(reduce_qubits, reduce_reps,
                                                  pool);
                              }));
-    cases.push_back(run_case("grover", Variant::kUnfused, 0, grover_qubits,
-                             reps, thread_counts,
+    cases.push_back(run_case("grover", grover_qubits, reps, thread_counts,
                              [&](qdc::util::ThreadPool* pool) {
-                               return run_grover(grover_qubits, pool, 0);
+                               return run_grover(grover_qubits, pool);
                              }));
-    cases.push_back(run_case("grover_fused", Variant::kFused, fusion_window,
-                             grover_qubits, reps, thread_counts,
-                             [&](qdc::util::ThreadPool* pool) {
-                               return run_grover(grover_qubits, pool,
-                                                 fusion_window);
-                             }));
-  }
-
-  // The fused contract, asserted on the live payloads: the exact fused
-  // variants must be BIT-IDENTICAL to their unfused twins (the dense
-  // variant is exempt — it reassociates), and fusing must actually pay on
-  // the memory-bound gates case at one thread.
-  const auto find_case = [&](const std::string& name) -> const CaseResult& {
-    for (const CaseResult& cr : cases) {
-      if (cr.name == name) return cr;
-    }
-    std::cerr << "quantum_scaling: missing case " << name << "\n";
-    std::exit(1);
-  };
-  const auto expect_same_payload = [&](const std::string& fused,
-                                       const std::string& unfused) {
-    if (find_case(fused).checksum != find_case(unfused).checksum) {
-      std::cerr << "quantum_scaling: " << fused
-                << " checksum diverges from " << unfused
-                << " — the fused kernel broke bit-identity\n";
-      std::exit(1);
-    }
-  };
-  expect_same_payload("gates_fused", "gates");
-  if (!gate) {
-    expect_same_payload("grover_fused", "grover");
-  }
-  {
-    const double unfused_t1 = find_case("gates").results.front().seconds;
-    const double fused_t1 = find_case("gates_fused").results.front().seconds;
-    if (smoke) {
-      // Smoke states are small enough to sit in cache on CI runners, so
-      // the wall-time ordering is noise there; report it, don't gate.
-      std::cout << "smoke: fused-vs-unfused 1-thread gates (informational): "
-                << "fused = " << fused_t1 << " s, unfused = " << unfused_t1
-                << " s\n";
-    } else if (!(fused_t1 < unfused_t1)) {
-      std::cerr << "quantum_scaling: gates_fused is not faster than gates "
-                   "at 1 thread (fused = "
-                << fused_t1 << " s, unfused = " << unfused_t1 << " s)\n";
-      std::exit(1);
-    }
   }
 
   const int sweep_jobs = gate ? 8 : smoke ? 4 : 16;
@@ -516,7 +393,7 @@ int main(int argc, char** argv) {
 
   write_json(out_path, cases, sweep, smoke, mode);
   for (const CaseResult& cr : cases) {
-    std::cout << cr.name << " (" << cr.variant << ", qubits=" << cr.qubits
+    std::cout << cr.name << " (qubits=" << cr.qubits
               << ", ops=" << cr.ops << ")\n";
     for (const ThreadResult& tr : cr.results) {
       std::cout << "  threads=" << tr.threads

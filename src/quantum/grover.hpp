@@ -31,10 +31,11 @@ struct GroverResult {
 /// capped at kMaxQubits — the same limit as the StateVector the search
 /// runs on. `pool` (non-owning; null = serial) shards the statevector
 /// kernels and the oracle/probability scans; results are bit-identical
-/// for every pool (see state.hpp). `fusion_window` = 0 (default) runs the
-/// classic per-gate kernels; w in [2, kMaxFusionWindow] fuses the
-/// Hadamard layers of the init step and the diffusion operator
-/// (quantum/fusion.hpp) — bit-identical results, fewer full-state passes.
+/// for every pool (see state.hpp).
+///
+/// `fusion_window` is a vestige of a removed gate-fusion path, kept only so
+/// perfbench/src/workloads.cpp (which passes 0) keeps compiling: it must be
+/// 0, and any other value throws ContractError.
 GroverResult grover_search(int num_qubits,
                            const std::function<bool(std::size_t)>& marked,
                            Rng& rng, int iterations = -1,

@@ -8,7 +8,18 @@
 
 namespace qdc::quantum {
 
-using detail::insert_zero_bit;
+namespace {
+
+/// Spreads a packed pair index back into a basis index by inserting a 0 at
+/// `bit_pos`: the k-th basis index whose `bit_pos` bit is clear. Gate
+/// kernels enumerate pairs directly through this instead of scanning the
+/// whole range and skipping half of it, so shard workloads are balanced.
+std::size_t insert_zero_bit(std::size_t k, int bit_pos) {
+  const std::size_t low_mask = (std::size_t{1} << bit_pos) - 1;
+  return ((k >> bit_pos) << (bit_pos + 1)) | (k & low_mask);
+}
+
+}  // namespace
 
 StateVector::StateVector(int qubit_count, util::ThreadPool* pool)
     : qubit_count_(qubit_count), pool_(pool) {
@@ -110,14 +121,6 @@ double StateVector::probability_one(int qubit) const {
   double p = 0.0;
   for (const double v : partial) p += v;
   return p;
-}
-
-void StateVector::set_fusion_window(int window) {
-  QDC_EXPECT(window == 0 || (window >= 2 && window <= kMaxFusionWindow),
-             "StateVector::set_fusion_window: window must be 0 (unfused) or "
-             "in [2, kMaxFusionWindow] (window = " +
-                 std::to_string(window) + ")");
-  fusion_window_ = window;
 }
 
 bool StateVector::measure(int qubit, Rng& rng) {

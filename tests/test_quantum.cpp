@@ -305,6 +305,14 @@ TEST(Grover, QubitCapMatchesStateVector) {
   EXPECT_THROW(grover_search(kMaxQubits + 1,
                              [](std::size_t) { return false; }, rng),
                ContractError);
+  // The trailing fusion_window argument is a vestige of the removed
+  // gate-fusion path: only 0 is accepted.
+  for (const int window : {-1, 2, 5}) {
+    EXPECT_THROW(grover_search(4, [](std::size_t i) { return i == 5; }, rng,
+                               /*iterations=*/-1, nullptr, window),
+                 ContractError)
+        << "window " << window;
+  }
   // 21 qubits (beyond the old cap) is now legal; zero iterations keeps the
   // run cheap — this only checks the contract, not the search.
   const auto r = grover_search(

@@ -1,31 +1,21 @@
 #!/usr/bin/env python3
-"""CI regression gates for the statevector kernels.
+"""CI regression gate for the statevector kernels.
 
 Usage:
 
     python3 tools/check_quantum_speedup.py BENCH_quantum.json [--min-speedup X]
 
 Reads the report written by `bench_quantum_scaling --gate` (any mode works,
-as long as the "gates" / "gates_fused" cases are present) and asserts two
-independent gates:
+as long as the "gates" case is present) and asserts the parallel gate:
+"gates" speedup at 4 threads >= 1.3x. The bar is lower than the engine
+gate's 1.5x: the gate kernels stream every amplitude through memory once
+per gate, so they saturate bandwidth well before the
+embarrassingly-parallel round engine does. SKIPS with a visible notice
+when the report says the machine has fewer than 4 hardware threads — a
+1-core runner cannot measure parallel speedup, and a silent pass would be
+indistinguishable from a real one.
 
-  * parallel: "gates" speedup at 4 threads >= 1.3x. The bar is lower than
-    the engine gate's 1.5x: the gate kernels stream every amplitude through
-    memory once per gate, so they saturate bandwidth well before the
-    embarrassingly-parallel round engine does. SKIPS with a visible notice
-    when the report says the machine has fewer than 4 hardware threads — a
-    1-core runner cannot measure parallel speedup, and a silent pass would
-    be indistinguishable from a real one.
-  * fused: "gates_fused" at 1 thread >= 1.5x faster than "gates" at
-    1 thread (wall-time ratio). Gate fusion pays by replacing one
-    full-state memory pass per gate with one pass per fused window
-    (src/quantum/fusion.hpp), so the gate measures the traffic reduction.
-    SKIPS visibly in smoke mode (the shrunken state sits in cache, so
-    there is no traffic to reduce) and on constrained runners (< 4
-    hardware threads — the same 1-core boxes whose timings are too noisy
-    for the parallel gate).
-
-Exit status: 0 when every gate passes or skips, 1 on any regression or a
+Exit status: 0 when the gate passes or skips, 1 on a regression or a
 malformed report.
 """
 
@@ -38,9 +28,6 @@ from pathlib import Path
 MIN_SPEEDUP = 1.3
 GATE_THREADS = 4
 GATE_CASE = "gates"
-
-FUSED_CASE = "gates_fused"
-MIN_FUSED_SPEEDUP = 1.5
 
 
 def find_result(doc: dict, case_name: str, threads: int):
@@ -81,45 +68,6 @@ def check_parallel_gate(doc: dict, hw: int, min_speedup: float) -> int:
     return 0
 
 
-def check_fused_gate(doc: dict, hw: int) -> int:
-    if doc.get("mode") == "smoke":
-        print(f"check_quantum_speedup: SKIPPED fused gate — smoke-mode "
-              f"states are cache-resident, so fusion's memory-traffic win "
-              f"is not measurable. The >= {MIN_FUSED_SPEEDUP}x gate did "
-              f"NOT run.")
-        return 0
-    if hw < GATE_THREADS:
-        print(f"check_quantum_speedup: SKIPPED fused gate — constrained "
-              f"runner ({hw} hardware thread(s) < {GATE_THREADS}); timings "
-              f"there are too noisy to hold a ratio gate. The >= "
-              f"{MIN_FUSED_SPEEDUP}x gate did NOT run.")
-        return 0
-    unfused = find_result(doc, GATE_CASE, 1)
-    fused = find_result(doc, FUSED_CASE, 1)
-    if unfused is None or fused is None:
-        print(f"check_quantum_speedup: need both {GATE_CASE} and "
-              f"{FUSED_CASE} results at threads=1 for the fused gate",
-              file=sys.stderr)
-        return 1
-    t_unfused = unfused.get("seconds")
-    t_fused = fused.get("seconds")
-    if (not isinstance(t_unfused, (int, float)) or
-            not isinstance(t_fused, (int, float)) or t_fused <= 0):
-        print(f"check_quantum_speedup: malformed seconds in {GATE_CASE} / "
-              f"{FUSED_CASE} at threads=1", file=sys.stderr)
-        return 1
-    ratio = t_unfused / t_fused
-    if ratio < MIN_FUSED_SPEEDUP:
-        print(f"check_quantum_speedup: REGRESSION — {FUSED_CASE} is only "
-              f"{ratio:.2f}x faster than {GATE_CASE} at 1 thread, gate "
-              f"requires >= {MIN_FUSED_SPEEDUP}x")
-        return 1
-    print(f"check_quantum_speedup: OK — {FUSED_CASE} is {ratio:.2f}x "
-          f"faster than {GATE_CASE} at 1 thread "
-          f"(>= {MIN_FUSED_SPEEDUP}x)")
-    return 0
-
-
 def main(argv: list[str]) -> int:
     min_speedup = MIN_SPEEDUP
     args = list(argv)
@@ -150,9 +98,7 @@ def main(argv: list[str]) -> int:
               file=sys.stderr)
         return 1
 
-    status = check_parallel_gate(doc, hw, min_speedup)
-    status = check_fused_gate(doc, hw) or status
-    return status
+    return check_parallel_gate(doc, hw, min_speedup)
 
 
 if __name__ == "__main__":

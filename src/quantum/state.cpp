@@ -1,6 +1,8 @@
 #include "quantum/state.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 
 #include "util/expect.hpp"
@@ -17,6 +19,86 @@ namespace {
 std::size_t insert_zero_bit(std::size_t k, int bit_pos) {
   const std::size_t low_mask = (std::size_t{1} << bit_pos) - 1;
   return ((k >> bit_pos) << (bit_pos + 1)) | (k & low_mask);
+}
+
+/// One amplitude {re, im} in two double lanes (the GCC/Clang vector
+/// extension; one SSE2 register on x86-64). Lane-wise + and * are plain
+/// IEEE double operations.
+using V2 = double __attribute__((vector_size(16)));
+
+// std::complex<double> is layout-compatible with double[2] (the standard
+// permits exactly this reinterpret_cast); memcpy makes the unaligned
+// 16-byte load and store.
+V2 load(const Amplitude& a) {
+  V2 v{};
+  std::memcpy(&v, reinterpret_cast<const double*>(&a), sizeof v);
+  return v;
+}
+
+void store(Amplitude& a, V2 v) {
+  std::memcpy(reinterpret_cast<double*>(&a), &v, sizeof v);
+}
+
+V2 swapped(V2 v) { return V2{v[1], v[0]}; }
+
+/// One gate coefficient u in expanded real/imag form: re = {ur, ur} and
+/// im = {-ui, ui}, so u * a == re * a + im * swap(a) lane by lane:
+/// {ur ar + (-ui) ai, ur ai + ui ar}. That is bitwise the std::complex
+/// product's fast path {ur ar - ui ai, ur ai + ui ar}, because IEEE 754
+/// defines x - y as x + (-y) and round-to-nearest is symmetric under sign
+/// (so (-ui) ai == -(ui ai), signed zeros included). The std::complex
+/// product also carries a __muldc3 fallback for results whose real and
+/// imaginary parts both come out NaN, which needs an infinite or NaN
+/// input; on finite amplitudes and gates the two agree bit for bit.
+struct Coefficient {
+  V2 re, im;
+
+  explicit Coefficient(Amplitude u)
+      : re{u.real(), u.real()}, im{-u.imag(), u.imag()} {}
+
+  V2 times(V2 a, V2 a_swapped) const { return re * a + im * a_swapped; }
+};
+
+/// The 2x2 pair update (a0, a1) <- (u00 a0 + u01 a1, u10 a0 + u11 a1),
+/// with the two products summed lane-wise exactly as std::complex's
+/// operator+ sums them.
+struct PairKernel {
+  Coefficient u00, u01, u10, u11;
+
+  explicit PairKernel(const Gate1& g)
+      : u00(g.u00), u01(g.u01), u10(g.u10), u11(g.u11) {}
+
+  void operator()(Amplitude& x0, Amplitude& x1) const {
+    const V2 a0 = load(x0);
+    const V2 a1 = load(x1);
+    const V2 s0 = swapped(a0);
+    const V2 s1 = swapped(a1);
+    store(x0, u00.times(a0, s0) + u01.times(a1, s1));
+    store(x1, u10.times(a0, s0) + u11.times(a1, s1));
+  }
+};
+
+/// Applies `g` to pairs [begin, end) of one gate pass: pair k updates the
+/// amplitudes at first_of(k) and first_of(k) + partner. The low `lo` bits
+/// of k pass through to first_of(k) unchanged (every zero a kernel inserts
+/// sits at bit `lo` or above), so each aligned block of 2^lo pair indices,
+/// clipped to [begin, end), maps onto consecutive basis indices: first_of
+/// runs once per block and the pair loop inside it is unit stride. The
+/// gate's lanes are built here, once per shard, so they live in registers
+/// rather than being reloaded around every amplitude store.
+template <typename FirstOf>
+void apply_pair_runs(Amplitude* amps, const Gate1& g, std::size_t begin,
+                     std::size_t end, int lo, std::size_t partner,
+                     FirstOf first_of) {
+  const PairKernel kernel(g);
+  const std::size_t run_mask = (std::size_t{1} << lo) - 1;
+  for (std::size_t k = begin; k < end;) {
+    const std::size_t stop = std::min(end, (k | run_mask) + 1);
+    Amplitude* x0 = amps + first_of(k);
+    Amplitude* x1 = x0 + partner;
+    for (std::size_t j = 0; j < stop - k; ++j) kernel(x0[j], x1[j]);
+    k = stop;
+  }
 }
 
 }  // namespace
@@ -49,14 +131,10 @@ void StateVector::apply(const Gate1& g, int qubit) {
   const std::size_t bit = std::size_t{1} << qubit;
   for_shards(amplitudes_.size() >> 1,
              [&](int, std::size_t begin, std::size_t end) {
-               for (std::size_t k = begin; k < end; ++k) {
-                 const std::size_t i0 = insert_zero_bit(k, qubit);
-                 const std::size_t i1 = i0 | bit;
-                 const Amplitude a0 = amplitudes_[i0];
-                 const Amplitude a1 = amplitudes_[i1];
-                 amplitudes_[i0] = g.u00 * a0 + g.u01 * a1;
-                 amplitudes_[i1] = g.u10 * a0 + g.u11 * a1;
-               }
+               apply_pair_runs(amplitudes_.data(), g, begin, end, qubit, bit,
+                               [qubit](std::size_t k) {
+                                 return insert_zero_bit(k, qubit);
+                               });
              });
 }
 
@@ -72,15 +150,12 @@ void StateVector::apply_controlled(const Gate1& g, int control, int target) {
   // target = 0: insert zeros at both qubit positions, then set control.
   for_shards(amplitudes_.size() >> 2,
              [&](int, std::size_t begin, std::size_t end) {
-               for (std::size_t k = begin; k < end; ++k) {
-                 const std::size_t i0 =
-                     insert_zero_bit(insert_zero_bit(k, lo), hi) | cbit;
-                 const std::size_t i1 = i0 | tbit;
-                 const Amplitude a0 = amplitudes_[i0];
-                 const Amplitude a1 = amplitudes_[i1];
-                 amplitudes_[i0] = g.u00 * a0 + g.u01 * a1;
-                 amplitudes_[i1] = g.u10 * a0 + g.u11 * a1;
-               }
+               apply_pair_runs(amplitudes_.data(), g, begin, end, lo, tbit,
+                               [lo, hi, cbit](std::size_t k) {
+                                 return insert_zero_bit(
+                                            insert_zero_bit(k, lo), hi) |
+                                        cbit;
+                               });
              });
 }
 
@@ -271,11 +346,18 @@ double StateVector::fidelity(const StateVector& other) const {
   std::vector<Amplitude> partial(
       static_cast<std::size_t>(shard_count_for(dim)), Amplitude{0.0, 0.0});
   for_shards(dim, [&](int s, std::size_t begin, std::size_t end) {
-    Amplitude sum{0.0, 0.0};
+    // sum += conj(a) * b, expanded: conj(a) * b is {ar br - (-ai) bi,
+    // ar bi + (-ai) br}, which is bitwise {ar br + ai bi, ar bi - ai br}
+    // for the same reasons as Coefficient's product.
+    double re = 0.0;
+    double im = 0.0;
     for (std::size_t i = begin; i < end; ++i) {
-      sum += std::conj(amplitudes_[i]) * other.amplitudes_[i];
+      const Amplitude a = amplitudes_[i];
+      const Amplitude b = other.amplitudes_[i];
+      re += a.real() * b.real() + a.imag() * b.imag();
+      im += a.real() * b.imag() - a.imag() * b.real();
     }
-    partial[static_cast<std::size_t>(s)] = sum;
+    partial[static_cast<std::size_t>(s)] = Amplitude{re, im};
   });
   Amplitude inner{0.0, 0.0};
   for (const Amplitude& v : partial) inner += v;

@@ -8,12 +8,20 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "quantum/state.hpp"
 
 namespace qdc::quantum {
 
 struct StateVectorTestAccess {
+  /// The amplitudes, writable: lets kernel tests load states no gate
+  /// sequence from |0...0> reaches (unnormalized, signed zeros,
+  /// subnormals) and compare the kernels against a reference bit for bit.
+  static std::vector<Amplitude>& amplitudes(StateVector& state) {
+    return state.amplitudes_;
+  }
+
   /// measure_all() with the uniform draw replaced by `r`, through the
   /// guarded path measure_all() itself uses: r outside [0, 1) is a
   /// ContractError (which is what the guard probes pin).

@@ -5,18 +5,23 @@
 // (16 qubits = 65536 amplitudes) that every kernel — gate pairs,
 // controlled pairs, oracle sweeps, reductions and collapses — actually
 // splits into multiple shards; any cross-shard ordering leak fails loudly
-// as a bitwise mismatch instead of averaging out.
+// as a bitwise mismatch instead of averaging out. The gate kernels are
+// also pinned bit for bit against the std::complex pair loop they
+// replaced, on states and gates that include signed zeros and subnormals.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "quantum/gates.hpp"
 #include "quantum/grover.hpp"
 #include "quantum/protocols.hpp"
 #include "quantum/state.hpp"
+#include "quantum/testing.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -204,6 +209,127 @@ TEST(QuantumDeterminism, SuperdenseRoundTripBitIdenticalAtOneAndFourThreads) {
         EXPECT_EQ(pooled.first, b0);
         EXPECT_EQ(pooled.second, b1);
       }
+    }
+  }
+}
+
+std::size_t reference_insert_zero_bit(std::size_t k, int bit_pos) {
+  const std::size_t low_mask = (std::size_t{1} << bit_pos) - 1;
+  return ((k >> bit_pos) << (bit_pos + 1)) | (k & low_mask);
+}
+
+/// The std::complex pair loops StateVector::apply / apply_controlled ran
+/// before their expanded two-lane form: the bitwise oracle for the kernels.
+void reference_apply(std::vector<Amplitude>& amps, const Gate1& g,
+                     int qubit) {
+  const std::size_t bit = std::size_t{1} << qubit;
+  for (std::size_t k = 0; k < (amps.size() >> 1); ++k) {
+    const std::size_t i0 = reference_insert_zero_bit(k, qubit);
+    const std::size_t i1 = i0 | bit;
+    const Amplitude a0 = amps[i0];
+    const Amplitude a1 = amps[i1];
+    amps[i0] = g.u00 * a0 + g.u01 * a1;
+    amps[i1] = g.u10 * a0 + g.u11 * a1;
+  }
+}
+
+void reference_apply_controlled(std::vector<Amplitude>& amps, const Gate1& g,
+                                int control, int target) {
+  const std::size_t cbit = std::size_t{1} << control;
+  const std::size_t tbit = std::size_t{1} << target;
+  const int lo = control < target ? control : target;
+  const int hi = control < target ? target : control;
+  for (std::size_t k = 0; k < (amps.size() >> 2); ++k) {
+    const std::size_t i0 =
+        reference_insert_zero_bit(reference_insert_zero_bit(k, lo), hi) |
+        cbit;
+    const std::size_t i1 = i0 | tbit;
+    const Amplitude a0 = amps[i0];
+    const Amplitude a1 = amps[i1];
+    amps[i0] = g.u00 * a0 + g.u01 * a1;
+    amps[i1] = g.u10 * a0 + g.u11 * a1;
+  }
+}
+
+/// A finite component aimed at the edges of the expanded form: signed
+/// zeros, +-1, +-0.5, subnormals, and ordinary values in (-1, 1).
+double edge_component(Rng& rng) {
+  switch (uniform_int(rng, 0, 6)) {
+    case 0:
+      return 0.0;
+    case 1:
+      return -0.0;
+    case 2:
+      return coin(rng) ? 1.0 : -1.0;
+    case 3:
+      return coin(rng) ? 0.5 : -0.5;
+    case 4: {
+      const auto mantissa = static_cast<double>(
+          uniform_int(rng, 1, (std::int64_t{1} << 52) - 1));
+      return (coin(rng) ? 1.0 : -1.0) * mantissa *
+             std::numeric_limits<double>::denorm_min();
+    }
+    default:
+      return 2.0 * uniform_real(rng) - 1.0;
+  }
+}
+
+Amplitude edge_amplitude(Rng& rng) {
+  const double re = edge_component(rng);
+  return Amplitude{re, edge_component(rng)};
+}
+
+Gate1 edge_gate(Rng& rng) {
+  Gate1 g;
+  for (Amplitude* u : {&g.u00, &g.u01, &g.u10, &g.u11}) {
+    *u = edge_amplitude(rng);
+  }
+  return g;
+}
+
+TEST(QuantumDeterminism, GateKernelsMatchComplexReference) {
+  // 15 qubits: apply walks 2^14 pairs in 4 shards and apply_controlled
+  // 2^13 pairs in 2, with boundaries every 4096 pairs — inside the
+  // contiguous runs of every gate whose lower qubit is 13 or above.
+  constexpr int kQubits = 15;
+  Rng rng(0x6b65726e656cULL);
+  std::vector<Amplitude> initial(std::size_t{1} << kQubits);
+  for (Amplitude& a : initial) a = edge_amplitude(rng);
+
+  const auto pools = make_pools();
+  std::vector<StateVector> states;
+  for (const auto& pool : pools) states.emplace_back(kQubits, pool.get());
+  const auto expect_all_pools = [&](const std::vector<Amplitude>& expected,
+                                    const auto& run_gate,
+                                    const std::string& what) {
+    for (std::size_t p = 0; p < states.size(); ++p) {
+      StateVectorTestAccess::amplitudes(states[p]) = initial;
+      run_gate(states[p]);
+      EXPECT_EQ(std::memcmp(states[p].amplitudes().data(), expected.data(),
+                            expected.size() * sizeof(Amplitude)),
+                0)
+          << what << ", pool " << p;
+    }
+  };
+
+  for (int q = 0; q < kQubits; ++q) {
+    const Gate1 g = edge_gate(rng);
+    std::vector<Amplitude> expected = initial;
+    reference_apply(expected, g, q);
+    expect_all_pools(
+        expected, [&](StateVector& s) { s.apply(g, q); },
+        "apply qubit " + std::to_string(q));
+  }
+  for (int c = 0; c < kQubits; ++c) {
+    for (int t = 0; t < kQubits; ++t) {
+      if (c == t) continue;
+      const Gate1 g = edge_gate(rng);
+      std::vector<Amplitude> expected = initial;
+      reference_apply_controlled(expected, g, c, t);
+      expect_all_pools(
+          expected, [&](StateVector& s) { s.apply_controlled(g, c, t); },
+          "apply_controlled control " + std::to_string(c) + " target " +
+              std::to_string(t));
     }
   }
 }
